@@ -624,9 +624,9 @@ class Scenario:
             # The parent slice's /proc trees must show the whole
             # cluster, including hosts that live in worker processes.
             for dproc in self.dprocs.values():
-                for host in self._pool_deployment.all_names:
-                    if host not in dproc._mounted_hosts:
-                        dproc.add_cluster_node(host)
+                for host in set(self._pool_deployment.all_names) \
+                        - set(dproc.hosts()):
+                    dproc.add_cluster_node(host)
         if self._want_tracing:
             from repro.tracing import TraceCollector, attach_tracer
             self.tracer = (self._tracer_arg if self._tracer_arg

@@ -23,11 +23,12 @@ design at grid scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.dproc.aggregate import ClusterView
 from repro.dproc.metrics import MetricId
-from repro.dproc.procfs import ProcFile
+from repro.dproc.procfs import ProcDir
 from repro.dproc.toolkit import Dproc
 from repro.errors import DprocError, NetworkError
 from repro.sim.cluster import Cluster
@@ -371,18 +372,13 @@ class GridFederation:
 
     def _mount_grid_tree(self, site: Site) -> None:
         """Expose peer-site summaries under /proc/grid/ at the gateway."""
-        dproc = site.gateway_dproc
+        def read(fieldname: str, of_site: str) -> str:
+            summary = self.summary(site.name, of_site)
+            if summary is None:
+                return "nan\n"
+            return f"{getattr(summary, fieldname):.6g}\n"
 
-        def reader(of_site: str, fieldname: str):
-            def read() -> str:
-                summary = self.summary(site.name, of_site)
-                if summary is None:
-                    return "nan\n"
-                return f"{getattr(summary, fieldname):.6g}\n"
-            return read
-
-        for other in self.sites:
-            for fieldname in SiteSummary.FIELDS:
-                dproc.procfs.mount(
-                    f"/proc/grid/{other}/{fieldname}",
-                    ProcFile(reader(other, fieldname)))
+        site.gateway_dproc.procfs.mount("/proc/grid", ProcDir(
+            {fieldname: (partial(read, fieldname), None)
+             for fieldname in SiteSummary.FIELDS},
+            members=self.sites))

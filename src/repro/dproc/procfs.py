@@ -2,25 +2,30 @@
 
 A minimal in-memory procfs: directories are implicit, files are
 callback-backed (reads compute fresh content; writes invoke a handler).
-The dproc toolkit mounts its tree here::
+The dproc toolkit serves its tree here::
 
     /proc/loadavg                      (standard Linux entry)
     /proc/cluster/<node>/loadavg       (remote monitoring data)
     /proc/cluster/<node>/freemem
     ...
     /proc/cluster/<node>/control       (parameters + filter deployment)
+
+Per-member trees like ``/proc/cluster/<node>/`` are one routed
+:class:`ProcDir`, resolved on lookup as Linux generates ``/proc/<pid>/``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from repro.errors import ProcfsError
 
-__all__ = ["ProcFS", "ProcFile"]
+__all__ = ["ProcFS", "ProcFile", "ProcDir"]
 
 ReadFn = Callable[[], str]
 WriteFn = Callable[[str], None]
+Key = tuple[str, ...]
 
 
 class ProcFile:
@@ -31,10 +36,6 @@ class ProcFile:
         self._read = read_fn
         self._write = write_fn
 
-    @property
-    def writable(self) -> bool:
-        return self._write is not None
-
     def read(self) -> str:
         return self._read()
 
@@ -44,66 +45,72 @@ class ProcFile:
         self._write(text)
 
 
-def _split(path: str) -> tuple[str, ...]:
+class ProcDir:
+    """A routed directory: the same files under every ``<member>/``.
+
+    ``files`` maps a member-relative path (``"dproc/overhead"``) to
+    ``(read(member), write(member, text) or None)``.  Adding a member
+    is a set insert; the directory exists once it has one.
+    """
+
+    def __init__(self, files: Mapping[str, tuple[Callable,
+                                                 Optional[Callable]]],
+                 members: Iterable[str] = ()) -> None:
+        self.members: set[str] = set(members)
+        self._files = {_split(rel): fns for rel, fns in files.items()}
+
+    def file(self, rel: Key) -> Optional[ProcFile]:
+        """The file at ``(member, *path)``, bound to that member."""
+        fns = rel and rel[0] in self.members and self._files.get(rel[1:])
+        if not fns:
+            return None
+        read, write = fns
+        return ProcFile(partial(read, rel[0]),
+                        write and partial(write, rel[0]))
+
+    def listing(self, rel: Key) -> set[str]:
+        """Names directly under ``rel`` (empty if it is no directory)."""
+        if not rel:
+            return set(self.members)
+        return _children(self._files, rel[1:]) \
+            if rel[0] in self.members else set()
+
+
+def _split(path: str) -> Key:
     parts = tuple(p for p in path.strip().split("/") if p)
     if not parts:
         raise ProcfsError(f"bad path {path!r}")
     return parts
 
 
-class ProcFS:
-    """In-memory pseudo-filesystem with callback-backed files.
+def _children(keys: Iterable[Key], key: Key) -> set[str]:
+    depth = len(key)
+    return {k[depth] for k in keys if len(k) > depth and k[:depth] == key}
 
-    Directory structure is tracked incrementally (per-directory child
-    refcounts), so mounting is O(path depth) rather than a scan of
-    every existing mount — the difference between seconds and minutes
-    when a thousand nodes each mount a thousand-entry /proc/cluster
-    tree.
-    """
+
+class ProcFS:
+    """In-memory pseudo-filesystem: mounted files, routed directories."""
 
     def __init__(self) -> None:
-        self._files: dict[tuple[str, ...], ProcFile] = {}
-        #: Directory key -> {child name -> number of mounts below it}.
-        self._children: dict[tuple[str, ...], dict[str, int]] = {}
+        self._files: dict[Key, ProcFile] = {}
+        self._dirs: dict[Key, ProcDir] = {}
 
-    # -- mounting ------------------------------------------------------------
-
-    def mount(self, path: str, file: ProcFile) -> None:
-        """Install a file at ``path`` (intermediate dirs are implicit)."""
+    def mount(self, path: str, entry: Union[ProcFile, ProcDir]) -> None:
+        """Install a file or routed directory at ``path`` (intermediate
+        dirs are implicit; mounts may not nest)."""
         key = _split(path)
-        if key in self._files:
-            raise ProcfsError(f"{path!r} already mounted")
-        # A file cannot also be a directory prefix of another file.
-        if key in self._children:
-            raise ProcfsError(
-                f"{path!r} conflicts with existing mounts below it")
-        for i in range(1, len(key)):
-            if key[:i] in self._files:
+        for other in (*self._files, *self._dirs):
+            if other == key:
+                raise ProcfsError(f"{path!r} already mounted")
+            if other[:len(key)] == key:
+                raise ProcfsError(
+                    f"{path!r} conflicts with existing mounts below it")
+            if key[:len(other)] == other:
                 raise ProcfsError(
                     f"{path!r} conflicts with existing mount "
-                    f"{'/' + '/'.join(key[:i])!r}")
-        self._files[key] = file
-        for i in range(len(key)):
-            parent = key[:i]
-            children = self._children.get(parent)
-            if children is None:
-                children = self._children[parent] = {}
-            name = key[i]
-            children[name] = children.get(name, 0) + 1
-
-    def unmount(self, path: str) -> None:
-        key = _split(path)
-        if self._files.pop(key, None) is None:
-            raise ProcfsError(f"{path!r} is not mounted")
-        for i in range(len(key)):
-            parent = key[:i]
-            children = self._children[parent]
-            name = key[i]
-            children[name] -= 1
-            if children[name] == 0:
-                del children[name]
-                if not children:
-                    del self._children[parent]
+                    f"{'/' + '/'.join(other)!r}")
+        mounts = self._dirs if isinstance(entry, ProcDir) else self._files
+        mounts[key] = entry
 
     # -- access ---------------------------------------------------------------
 
@@ -118,29 +125,41 @@ class ProcFS:
     def exists(self, path: str) -> bool:
         """True for both files and (implicit) directories."""
         key = _split(path)
-        return key in self._files or key in self._children
+        return self._file(key) is not None or bool(self._listing(key))
 
     def is_dir(self, path: str) -> bool:
-        key = _split(path)
-        if key in self._files:
-            return False
-        return key in self._children
+        return bool(self._listing(_split(path)))
 
     def listdir(self, path: str) -> list[str]:
         """Names directly under a directory."""
         key = _split(path) if path.strip("/") else ()
-        if key in self._files:
+        if self._file(key) is not None:
             raise ProcfsError(f"{path!r} is a file, not a directory")
-        children = self._children.get(key)
-        if children is None:
-            if key:
-                raise ProcfsError(f"no such directory {path!r}")
-            return []
-        return sorted(children)
+        names = self._listing(key)
+        if not names and key:
+            raise ProcfsError(f"no such directory {path!r}")
+        return sorted(names)
 
     def _lookup(self, path: str) -> ProcFile:
-        key = _split(path)
-        file = self._files.get(key)
+        file = self._file(_split(path))
         if file is None:
             raise ProcfsError(f"no such file {path!r}")
         return file
+
+    def _file(self, key: Key) -> Optional[ProcFile]:
+        file = self._files.get(key)
+        if file is None:
+            for prefix, routed in self._dirs.items():
+                if key[:len(prefix)] == prefix:
+                    return routed.file(key[len(prefix):])
+        return file
+
+    def _listing(self, key: Key) -> set[str]:
+        """Names under ``key``, empty if no directory (scans the mounts)."""
+        names = _children(self._files, key)
+        for prefix, routed in self._dirs.items():
+            if key[:len(prefix)] == prefix:
+                return routed.listing(key[len(prefix):])
+            if prefix[:len(key)] == key and routed.members:
+                names.add(prefix[len(key)])
+        return names

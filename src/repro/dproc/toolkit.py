@@ -19,13 +19,14 @@ Example::
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.dproc.control_api import ControlRequest
 from repro.dproc.control_file import parse_control_text
 from repro.dproc.dmon import DMon, DMonConfig, register_default_modules
 from repro.dproc.metrics import METRIC_FILES, MetricId
-from repro.dproc.procfs import ProcFS, ProcFile
+from repro.dproc.procfs import ProcDir, ProcFS, ProcFile
 from repro.errors import DprocError
 from repro.kecho import KechoBus
 from repro.runtime.protocol import Bus, NodeGroup, RuntimeNode
@@ -58,8 +59,9 @@ class Dproc:
                 self.dmon.register_service(module_factory(name, node))
         self.procfs = ProcFS()
         self._control_log: dict[str, list[str]] = {}
-        self._mounted_hosts: set[str] = set()
         self._mount_standard()
+        #: Routed /proc/cluster, made when the first host is added.
+        self._cluster: Optional[ProcDir] = None
         node.attach_service("dproc", self)
 
     # -- lifecycle ------------------------------------------------------------
@@ -93,46 +95,16 @@ class Dproc:
 
     def add_cluster_node(self, host: str) -> None:
         """Expose ``/proc/cluster/<host>/`` for a (possibly remote) node."""
-        if host in self._mounted_hosts:
+        if self._cluster is None:
+            self._cluster = ProcDir(self._cluster_files())
+            self.procfs.mount("/proc/cluster", self._cluster)
+        if host in self._cluster.members:
             raise DprocError(f"{host!r} already in /proc/cluster")
-        self._mounted_hosts.add(host)
-        base = f"/proc/cluster/{host}"
-        local = host == self.node.name
-        for metric, fname in METRIC_FILES.items():
-            self.procfs.mount(
-                f"{base}/{fname}",
-                ProcFile(self._metric_reader(host, metric, local)))
-        self.procfs.mount(
-            f"{base}/control",
-            ProcFile(read_fn=lambda h=host: self._control_read(h),
-                     write_fn=lambda text, h=host:
-                     self._control_write(h, text)))
-        self.procfs.mount(
-            f"{base}/status",
-            ProcFile(read_fn=lambda h=host: self._status_read(h)))
-        # Per-process summary (the keyed stream): the local node shows
-        # what it last published, remote hosts what was last received.
-        self.procfs.mount(
-            f"{base}/proc_top",
-            ProcFile(read_fn=lambda h=host: self._proc_top_read(h)))
-        # Self-telemetry, dogfooded through /proc: dproc reporting on
-        # dproc.  The local node renders its live registry; remote
-        # hosts render whatever their SELF_MON module published.
-        self.procfs.mount(
-            f"{base}/dproc/overhead",
-            ProcFile(read_fn=lambda h=host: self._overhead_read(h)))
-        self.procfs.mount(
-            f"{base}/dproc/channels",
-            ProcFile(read_fn=lambda h=host:
-                     self._telemetry_read(h, "kecho.")))
-        self.procfs.mount(
-            f"{base}/dproc/dmon",
-            ProcFile(read_fn=lambda h=host:
-                     self._telemetry_read(h, "dmon.")))
+        self._cluster.members.add(host)
 
     def hosts(self) -> list[str]:
         """Nodes visible under /proc/cluster."""
-        return sorted(self._mounted_hosts)
+        return sorted(self._cluster.members) if self._cluster else []
 
     # -- convenience accessors -----------------------------------------------------
 
@@ -172,11 +144,23 @@ class Dproc:
 
         self.procfs.mount("/proc/meminfo", ProcFile(read_meminfo))
 
-    def _metric_reader(self, host: str, metric: MetricId, local: bool):
-        def read() -> str:
-            value = self.metric(host, metric)
-            return f"{value:.6g}\n"
-        return read
+    def _cluster_files(self) -> dict:
+        """The ``/proc/cluster/<host>/`` file table: name -> handlers."""
+        files = {fname: (partial(self._metric_read, metric), None)
+                 for metric, fname in METRIC_FILES.items()}
+        files["control"] = (self._control_read, self._control_write)
+        files["status"] = (self._status_read, None)
+        files["proc_top"] = (self._proc_top_read, None)
+        # Self-telemetry, dogfooded through /proc: dproc on dproc.
+        files["dproc/overhead"] = (self._overhead_read, None)
+        files["dproc/channels"] = (
+            partial(self._telemetry_read, prefix="kecho."), None)
+        files["dproc/dmon"] = (
+            partial(self._telemetry_read, prefix="dmon."), None)
+        return files
+
+    def _metric_read(self, metric: MetricId, host: str) -> str:
+        return f"{self.metric(host, metric):.6g}\n"
 
     def _status_read(self, host: str) -> str:
         """``/proc/cluster/<host>/status``: liveness state and data age."""

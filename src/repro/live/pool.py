@@ -120,9 +120,8 @@ def _worker_main(names: list[str], deployment: PoolDeployment,
             config_fn=watcher_config_fn(deployment.dmon,
                                         deployment.watchers))
         for dproc in dprocs.values():
-            for host in deployment.all_names:
-                if host not in dproc._mounted_hosts:
-                    dproc.add_cluster_node(host)
+            for host in set(deployment.all_names) - set(dproc.hosts()):
+                dproc.add_cluster_node(host)
         conn.send(("ready", list(names)))
 
     runtime.setup(deploy)

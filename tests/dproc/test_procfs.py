@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import ProcFS, ProcFile
+from repro.dproc import ProcDir, ProcFS, ProcFile
 from repro.errors import ProcfsError
 
 
@@ -34,15 +34,6 @@ class TestMounting:
     def test_directory_cannot_shadow_file(self, fs):
         with pytest.raises(ProcfsError, match="conflicts"):
             fs.mount("/proc/loadavg/sub", ProcFile(lambda: ""))
-
-    def test_unmount(self, fs):
-        fs.unmount("/proc/loadavg")
-        with pytest.raises(ProcfsError):
-            fs.read("/proc/loadavg")
-
-    def test_unmount_unknown_rejected(self, fs):
-        with pytest.raises(ProcfsError):
-            fs.unmount("/proc/ghost")
 
     def test_bad_path_rejected(self, fs):
         with pytest.raises(ProcfsError):
@@ -99,3 +90,64 @@ class TestAccess:
     def test_listdir_missing_raises(self, fs):
         with pytest.raises(ProcfsError, match="no such directory"):
             fs.listdir("/proc/ghost")
+
+
+class TestProcDir:
+    @pytest.fixture
+    def routed(self):
+        fs = ProcFS()
+        fs.mount("/proc/loadavg", ProcFile(lambda: "0.50\n"))
+        written = []
+        hosts = ProcDir({
+            "loadavg": (lambda host: f"{host} load\n", None),
+            "control": (lambda host: "",
+                        lambda host, text: written.append((host, text))),
+            "dproc/overhead": (lambda host: f"{host} cost\n", None),
+        })
+        fs.mount("/proc/cluster", hosts)
+        return fs, hosts, written
+
+    def test_empty_directory_does_not_exist(self, routed):
+        fs, _hosts, _written = routed
+        assert not fs.exists("/proc/cluster")
+        assert fs.listdir("/proc") == ["loadavg"]
+        with pytest.raises(ProcfsError, match="no such directory"):
+            fs.listdir("/proc/cluster")
+
+    def test_members_resolve_on_lookup(self, routed):
+        fs, hosts, written = routed
+        hosts.members.update({"maui", "alan"})
+        assert fs.listdir("/proc") == ["cluster", "loadavg"]
+        assert fs.listdir("/proc/cluster") == ["alan", "maui"]
+        assert fs.listdir("/proc/cluster/maui") == [
+            "control", "dproc", "loadavg"]
+        assert fs.listdir("/proc/cluster/maui/dproc") == ["overhead"]
+        assert fs.read("/proc/cluster/maui/loadavg") == "maui load\n"
+        assert fs.read("//proc/cluster/alan/dproc/overhead/") == \
+            "alan cost\n"
+        fs.write("/proc/cluster/alan/control", "period cpu 2")
+        assert written == [("alan", "period cpu 2")]
+        assert fs.is_dir("/proc/cluster/alan/dproc")
+        assert not fs.is_dir("/proc/cluster/alan/loadavg")
+
+    def test_unknown_member_or_file(self, routed):
+        fs, hosts, _written = routed
+        hosts.members.add("maui")
+        with pytest.raises(ProcfsError, match="no such file"):
+            fs.read("/proc/cluster/etna/loadavg")
+        with pytest.raises(ProcfsError, match="no such file"):
+            fs.read("/proc/cluster/maui/freemem")
+        with pytest.raises(ProcfsError, match="read-only"):
+            fs.write("/proc/cluster/maui/loadavg", "x")
+        with pytest.raises(ProcfsError, match="is a file"):
+            fs.listdir("/proc/cluster/maui/loadavg")
+        assert not fs.exists("/proc/cluster/etna")
+
+    def test_mounts_cannot_overlap_a_routed_directory(self, routed):
+        fs, _hosts, _written = routed
+        with pytest.raises(ProcfsError, match="already"):
+            fs.mount("/proc/cluster", ProcDir({}))
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount("/proc/cluster/maui/x", ProcFile(lambda: ""))
+        with pytest.raises(ProcfsError, match="conflicts"):
+            fs.mount("/proc", ProcFile(lambda: ""))
