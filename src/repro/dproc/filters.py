@@ -31,6 +31,12 @@ __all__ = ["DeployedFilter", "FilterManager"]
 
 _filter_seq = itertools.count(1)
 
+#: ``input[]`` slot i → (metric, record name), dense up to the highest
+#: metric index.
+_INPUT_SLOTS = tuple(
+    (metric, metric.name.lower())
+    for metric in map(MetricId, range(max(MetricId) + 1)))
+
 
 @dataclass
 class DeployedFilter:
@@ -65,14 +71,15 @@ class FilterManager:
 
         Compilation cost is charged to this node's CPU — dynamic code
         generation happens *at the publisher*, preserving the paper's
-        heterogeneity argument.  An existing filter with the same scope
-        is replaced.
+        heterogeneity argument.  The charge is per host even though the
+        Python code generation behind it runs once per process
+        (:func:`~repro.ecode.compile_filter` memoises it): the model
+        costs what a real publisher would pay.  An existing filter with
+        the same id or the same scope is replaced, and the new filter
+        starts with empty sketch state.
         """
         if filter_id is None:
             filter_id = f"{self.node.name}-f{next(_filter_seq)}"
-        if filter_id in self._by_id:
-            raise FilterDeploymentError(
-                f"filter id {filter_id!r} already deployed")
         try:
             compiled = compile_filter(source, constants=METRIC_CONSTANTS)
         except EcodeError as exc:
@@ -84,9 +91,10 @@ class FilterManager:
             filter_id=filter_id, scope=scope, source=source,
             compiled=compiled, deployed_at=self.node.env.now,
             compile_cpu_seconds=cost)
-        old = self._by_scope.get(scope)
-        if old is not None:
-            del self._by_id[old.filter_id]
+        for old in (self._by_id.get(filter_id), self._by_scope.get(scope)):
+            if old is not None:
+                self._by_id.pop(old.filter_id, None)
+                self._by_scope.pop(old.scope, None)
         self._by_scope[scope] = deployed
         self._by_id[filter_id] = deployed
         return deployed
@@ -159,13 +167,7 @@ class FilterManager:
         Metrics not collected this round appear as zero-valued records
         so that fixed metric indices always resolve.
         """
-        size = max(int(m) for m in MetricId) + 1
-        array: list[MetricRecord] = []
-        for i in range(size):
-            metric = MetricId(i)
-            value = samples.get(metric, 0.0)
-            array.append(MetricRecord(
-                name=metric.name.lower(), value=float(value),
-                last_value_sent=float(last_sent.get(metric, 0.0)),
-                timestamp=now))
-        return array
+        return [MetricRecord(name=name, value=float(samples.get(metric, 0.0)),
+                             last_value_sent=float(last_sent.get(metric, 0.0)),
+                             timestamp=now)
+                for metric, name in _INPUT_SLOTS]

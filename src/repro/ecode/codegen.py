@@ -5,7 +5,10 @@ a filter arrives as a source string, is parsed and type-checked, and is
 then translated into a Python :mod:`ast` module function which
 ``compile()`` turns into CPython bytecode — compiled **at the host that
 will execute it**, exactly as the paper describes (only the target ISA
-differs; see DESIGN.md §2).
+differs; see DESIGN.md §2).  Simulated hosts share one Python process,
+so the generated function is memoised per process on ``(source,
+constants)``; each deployed filter still owns its constants and sketch
+state, and d-mon still charges the modelled compile cost per host.
 
 Safety properties of the generated code:
 
@@ -20,8 +23,9 @@ Safety properties of the generated code:
 from __future__ import annotations
 
 import ast as py
+import functools
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.ecode import ast_nodes as A
 from repro.ecode.analyzer import AnalysisResult, EType, analyze
@@ -407,10 +411,53 @@ class CompiledFilter:
         return self._sketch.snapshot()
 
 
+class _Generated(NamedTuple):
+    """What code generation yields for one ``(source, constants)``:
+    the stateless native function and the analysis flags."""
+
+    pyfunc: Callable[..., object]
+    has_loops: bool
+    uses_sketch: bool
+    uses_keyed: bool
+
+
+@functools.lru_cache(maxsize=256)
+def _generate(source: str,
+              constants: tuple[tuple[str, float], ...]) -> _Generated:
+    """Lex, parse, analyse and compile ``source`` — memoised per process.
+
+    The generated function is pure: its namespace holds only
+    ``float``/``int``, ``__trunc__`` and the stateless :data:`BUILTINS`,
+    and all mutable state (sketches, the keyed table, the step budget)
+    arrives as arguments.  Every filter compiled from the same source
+    and constants can therefore share it.  A source that fails to
+    compile raises and is not memoised.
+    """
+    analysis = analyze(parse(source), dict(constants))
+    module = _Generator(analysis).build_module()
+    code = compile(module, filename="<ecode>", mode="exec")
+    namespace: dict[str, object] = {
+        "__builtins__": {"float": float, "int": int},
+        "__trunc__": lambda x: int(x) if x >= 0 else -int(-x),
+    }
+    for name, (_arity, impl) in BUILTINS.items():
+        namespace[f"__bi_{name}__"] = impl
+    exec(code, namespace)  # noqa: S102 - deliberate dynamic codegen
+    return _Generated(pyfunc=namespace[_FUNC_NAME],  # type: ignore[arg-type]
+                      has_loops=analysis.has_loops,
+                      uses_sketch=analysis.uses_sketch,
+                      uses_keyed=analysis.uses_keyed)
+
+
 def compile_filter(source: str,
                    constants: Optional[Mapping[str, float]] = None,
                    max_steps: int = DEFAULT_MAX_STEPS) -> CompiledFilter:
     """Compile E-code ``source`` into an executable filter.
+
+    Code generation runs once per process for each distinct
+    ``(source, constants)`` pair; every call still returns a new
+    :class:`CompiledFilter` with its own constants copy and its own
+    :class:`SketchSpace`, so filter state is never shared.
 
     Parameters
     ----------
@@ -421,20 +468,10 @@ def compile_filter(source: str,
         Loop-iteration budget per invocation.
     """
     constants = dict(constants or {})
-    program = parse(source)
-    analysis = analyze(program, constants)
-    module = _Generator(analysis).build_module()
-    code = compile(module, filename="<ecode>", mode="exec")
-    namespace: dict[str, object] = {
-        "__builtins__": {"float": float, "int": int},
-        "__trunc__": lambda x: int(x) if x >= 0 else -int(-x),
-    }
-    for name, (_arity, impl) in BUILTINS.items():
-        namespace[f"__bi_{name}__"] = impl
-    exec(code, namespace)  # noqa: S102 - deliberate dynamic codegen
+    generated = _generate(source, tuple(sorted(constants.items())))
     return CompiledFilter(source=source, constants=constants,
                           max_steps=max_steps,
-                          _pyfunc=namespace[_FUNC_NAME],
-                          has_loops=analysis.has_loops,
-                          uses_sketch=analysis.uses_sketch,
-                          uses_keyed=analysis.uses_keyed)
+                          _pyfunc=generated.pyfunc,
+                          has_loops=generated.has_loops,
+                          uses_sketch=generated.uses_sketch,
+                          uses_keyed=generated.uses_keyed)

@@ -99,14 +99,23 @@ class CountMinSketch:
         return mix64(self._salts[row] ^ (key & _MASK64)) % self.width
 
     def add(self, key: int, weight: float) -> float:
-        """Add ``weight`` to ``key``; returns the post-add estimate."""
+        """Add ``weight`` to ``key``; returns the post-add estimate.
+
+        The per-poll hot path: :meth:`bucket` and :func:`mix64` are
+        inlined (same arithmetic, same cells).
+        """
         est = float("inf")
-        for row in range(self.depth):
-            cells = self._rows[row]
-            bucket = self.bucket(row, key)
-            cells[bucket] += weight
-            if cells[bucket] < est:
-                est = cells[bucket]
+        key &= _MASK64
+        width = self.width
+        for cells, salt in zip(self._rows, self._salts):
+            x = salt ^ key
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+            bucket = (x ^ (x >> 31)) % width
+            cell = cells[bucket] + weight
+            cells[bucket] = cell
+            if cell < est:
+                est = cell
         self.total += weight
         return est
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dproc import MetricId
+from repro.dproc import DMonConfig, MetricId, deploy_dproc, topk_filter
 from repro.dproc.filters import FilterManager
 from repro.errors import FilterDeploymentError
+from repro.sim import build_cluster
 
 
 PASS_LOADAVG = """
@@ -43,10 +44,18 @@ class TestDeployment:
         assert len(manager) == 1
         assert manager.global_filter.filter_id == "new"
 
-    def test_duplicate_id_rejected(self, manager):
+    def test_duplicate_id_replaces(self, manager):
         manager.deploy(PASS_LOADAVG, scope="*", filter_id="f")
-        with pytest.raises(FilterDeploymentError, match="already"):
-            manager.deploy(PASS_LOADAVG, scope="cpu", filter_id="f")
+        new = manager.deploy(PASS_LOADAVG, scope="cpu", filter_id="f")
+        assert manager.deployed() == [new]
+        assert manager.global_filter is None
+        assert manager.filter_for("cpu") is new
+
+    def test_failed_redeploy_keeps_old_filter(self, manager):
+        old = manager.deploy(PASS_LOADAVG, scope="*", filter_id="f")
+        with pytest.raises(FilterDeploymentError, match="compile"):
+            manager.deploy("int x = ;", scope="*", filter_id="f")
+        assert manager.deployed() == [old]
 
     def test_syntax_error_becomes_deployment_error(self, manager):
         with pytest.raises(FilterDeploymentError, match="compile"):
@@ -139,3 +148,28 @@ class TestExecution:
         dropped = manager.input_array({MetricId.FREEMEM: 80.0},
                                       {MetricId.FREEMEM: 100.0}, env.now)
         assert len(manager.run(deployed, dropped).outputs) == 1
+
+
+class TestRedeployOverControl:
+    """A second ``topk_filter`` broadcast under the same id must retune
+    every host rather than fail at the sender."""
+
+    def test_topk_k_change_replaces_on_every_host(self, env):
+        cluster = build_cluster(env, nodes=4, seed=42)
+        dprocs = deploy_dproc(cluster, DMonConfig(poll_interval=0.5),
+                              modules=("cpu", "proc"))
+        sender = cluster.names[0]
+        dmon = dprocs[sender].dmon
+        for msg in topk_filter(5).messages(sender=sender, target=None):
+            dmon.send_control(msg)
+        env.run(until=2.0)
+        for msg in topk_filter(10).messages(sender=sender, target=None):
+            dmon.send_control(msg)
+        assert dmon.filters.filter_for("proc").compiled.sketch_state() \
+            == b""
+        env.run(until=4.0)
+        for name, dproc in dprocs.items():
+            deployed = dproc.dmon.filters.deployed()
+            assert [d.filter_id for d in deployed] == ["topk"], name
+            assert "topk_new(10)" in deployed[0].source, name
+            assert deployed[0].errors == 0, name

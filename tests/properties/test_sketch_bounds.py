@@ -17,7 +17,10 @@ workloads:
   heap's membership equals ``sorted(...)[:k]`` computed naively;
 * **same seed ⇒ byte-identical state** — two sketches fed the same
   multiset of updates (in any order) serialise to identical bytes;
-* **per-key counters are exact** — no sketching, just bounded maps.
+* **per-key counters are exact** — no sketching, just bounded maps;
+* **the inlined hash is the reference hash** — ``CountMinSketch.add``
+  inlines splitmix64 on the hot path, and must touch exactly the cells
+  that ``bucket(row, key)`` and :func:`mix64` name.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecode import CountMinSketch, KeyCounter, TopK
+from repro.ecode.sketches import MAX_DEPTH, mix64
 
 SETTINGS = settings(max_examples=200, derandomize=True, deadline=None)
 
@@ -190,3 +194,32 @@ class TestCounterExactness:
             assert counter.get(key) == true_weight \
                 or abs(counter.get(key) - true_weight) \
                 <= 1e-9 * max(1.0, true_weight)
+
+
+_MASK64 = (1 << 64) - 1
+_signed_keys = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
+class TestInlinedHash:
+    @SETTINGS
+    @given(_seeds, st.integers(min_value=1, max_value=4096),
+           st.integers(min_value=1, max_value=MAX_DEPTH),
+           st.lists(st.tuples(_signed_keys, _weights),
+                    min_size=1, max_size=30))
+    def test_add_touches_reference_cells(self, seed, width, depth,
+                                         updates):
+        cms = CountMinSketch(width, depth, seed)
+        rows = [[0.0] * width for _ in range(depth)]
+        for key, weight in updates:
+            cells = [cms.bucket(row, key) for row in range(depth)]
+            assert cells == [
+                mix64(mix64(seed ^ (row * 0x9E3779B97F4A7C15))
+                      ^ (key & _MASK64)) % width
+                for row in range(depth)]
+            for row, cell in enumerate(cells):
+                rows[row][cell] += weight
+            estimate = min(rows[row][cell]
+                           for row, cell in enumerate(cells))
+            assert cms.add(key, weight) == estimate
+            assert cms.estimate(key) == estimate
+        assert cms._rows == rows
